@@ -15,7 +15,7 @@
 //! of alignment, which the paper's Table 4 prices at 174.9 mm² / 115.8 W
 //! (chain) and 139.4 mm² / 92.3 W (align).
 
-use gx_core::{FallbackStage, PairMapResult};
+use gx_core::{FallbackStage, PairMapResult, DP_BAND};
 
 /// Paper-calibrated residual chaining work: million cell updates per
 /// million pairs.
@@ -87,18 +87,22 @@ impl FallbackCells {
     }
 }
 
-/// Band half-width of the repo's fallback aligner (`banded_align(..., 16, ..)`),
-/// so estimated cells match what the software path would actually compute.
-const FALLBACK_BAND: u64 = 16;
-
 /// Anchor floor for chaining estimates: a full-pipeline fallback re-seeds
 /// with a traditional seeder even when GenPair's own SeedMap query returned
 /// nothing, so chaining work never models as free.
 const MIN_CHAIN_ANCHORS: u64 = 8;
 
-/// Banded-alignment cells for one read end (diagonal band of `2×16+1`).
+/// Estimated banded-alignment cells for one read end: a diagonal band of
+/// `2 × DP_BAND + 1` = 33 cells per base.
+///
+/// This is narrower than what the software fallback computes. Its corridor
+/// also spans the window's slack, `2 × DP_WINDOW_MARGIN`, so a 150 bp read
+/// in its 198 bp window gets 81 columns per row and ≈ 79 measured cells per
+/// base. The estimate prices only pairs without a measured
+/// [`PairWork::dp_cells`](gx_core::PairWork) and is kept as is, because
+/// changing it moves the modeled metrics.
 fn banded_cells(read_len: usize) -> u64 {
-    read_len as u64 * (2 * FALLBACK_BAND + 1)
+    read_len as u64 * (2 * DP_BAND as u64 + 1)
 }
 
 /// The DP cells a mapped pair demands from GenDP, given where it left the

@@ -20,6 +20,11 @@ const F_EXT: u8 = 1 << 3;
 /// Alignments whose optimal path leaves the band return the best in-band
 /// path, which is the same behaviour as minimap2's banded extension.
 ///
+/// The fill runs in band coordinates (see [`banded_align_with`]) and is
+/// checked cell-for-cell against the column-indexed
+/// [`banded_align_reference`]: both return the same score, CIGAR,
+/// coordinates and [`Alignment::cells`].
+///
 /// # Panics
 ///
 /// Panics if either sequence is empty, `band == 0`, or `mode` is
@@ -36,6 +41,17 @@ pub fn banded_align(
 
 /// [`banded_align`] using caller-owned scratch buffers — identical result,
 /// no allocation once `scratch` has grown to the workload's high-water mark.
+///
+/// Row `i` is stored by band offset `k = j − (i + lo_shift)`, where
+/// `lo_shift` is the lowest allowed shift `j − i`; the traceback matrix uses
+/// the same `i * width + k` layout. In these coordinates the cell above
+/// `(i, k)` is `k + 1` of row `i − 1`, the diagonal is `k` of row `i − 1`
+/// and the left neighbour is `k − 1` of row `i`. Every up and diagonal
+/// neighbour a row reads lies in the previous row's computed range, except
+/// "up" from offset `width − 1`: score rows are `width + 1` long and offset
+/// `width`, never computed, stays `NEG_INF`. So each row's valid range is
+/// computed once and the inner loop walks equal-length slices with no
+/// per-cell range tests.
 pub fn banded_align_with(
     query: &DnaSeq,
     target: &DnaSeq,
@@ -44,28 +60,190 @@ pub fn banded_align_with(
     mode: AlignMode,
     scratch: &mut AlignScratch,
 ) -> Alignment {
-    assert!(
-        !query.is_empty() && !target.is_empty(),
-        "cannot align empty sequences"
-    );
-    assert!(band > 0, "band must be positive");
-    assert!(
-        mode != AlignMode::Local,
-        "banded alignment supports Global and Fit modes"
-    );
+    check_args(query, target, band, mode);
+    let n = query.len();
+    let m = target.len();
+    let open = scoring.gap_open + scoring.gap_ext;
+    let ext = scoring.gap_ext;
+    let (lo_shift, width) = corridor(n, m, band);
+
+    let AlignScratch {
+        tb,
+        h_prev,
+        h_cur,
+        f_col: f_prev,
+        f_cur,
+        qcodes,
+        tcodes,
+        rev_cigar,
+        spare_cigars,
+    } = scratch;
+    tb.clear();
+    tb.resize((n + 1) * width, H_STOP);
+    for row in [&mut *h_prev, &mut *h_cur, &mut *f_prev, &mut *f_cur] {
+        row.clear();
+        row.resize(width + 1, NEG_INF);
+    }
+    query.codes_into(0..n, qcodes);
+    target.codes_into(0..m, tcodes);
+
+    // Column of band offset 0 in row `i`, and the row's valid offsets.
+    let base = |i: usize| -> i64 { i as i64 + lo_shift };
+    let row_range = |i: usize| -> (usize, usize) {
+        let kmin = (-base(i)).max(0) as usize;
+        let kmax = (m as i64 - base(i)).min(width as i64 - 1) as usize;
+        (kmin, kmax)
+    };
+
+    // Row 0.
+    let (kmin, kmax) = row_range(0);
+    for k in kmin..=kmax {
+        let j = (base(0) + k as i64) as usize;
+        h_prev[k] = match mode {
+            AlignMode::Global => -scoring.gap_cost(j as u32),
+            _ => 0,
+        };
+        tb[k] = if mode == AlignMode::Global && j > 0 {
+            H_E | E_EXT
+        } else {
+            H_STOP
+        };
+    }
+
+    let mut cells = 0u64;
+    for i in 1..=n {
+        let (kmin, kmax) = row_range(i);
+        let tb_row = &mut tb[i * width..(i + 1) * width];
+        // When the band reaches column 0, that cell is the leading
+        // insertion boundary and the computed cells start one to its right.
+        let (kstart, mut h_left) = if base(i) <= 0 {
+            let h = -scoring.gap_cost(i as u32);
+            h_cur[kmin] = h;
+            tb_row[kmin] = H_F | F_EXT;
+            (kmin + 1, h)
+        } else {
+            (kmin, NEG_INF)
+        };
+        let len = kmax + 1 - kstart;
+        let j0 = (base(i) + kstart as i64) as usize;
+        // Substitution score of this row's query base against each code.
+        let qi = qcodes[i - 1];
+        let sub = [0u8, 1, 2, 3].map(|c| scoring.substitution(qi, c));
+
+        let targets = &tcodes[j0 - 1..j0 - 1 + len];
+        let diag = &h_prev[kstart..kstart + len];
+        let h_up = &h_prev[kstart + 1..kstart + 1 + len];
+        let f_up = &f_prev[kstart + 1..kstart + 1 + len];
+        let h_out = &mut h_cur[kstart..kstart + len];
+        let f_out = &mut f_cur[kstart..kstart + len];
+        let tb_out = &mut tb_row[kstart..kstart + len];
+        let mut e_row = NEG_INF;
+        for x in 0..len {
+            let mut flags = 0u8;
+
+            let e_open = h_left - open;
+            let e_extend = e_row - ext;
+            e_row = if e_extend > e_open {
+                flags |= E_EXT;
+                e_extend
+            } else {
+                e_open
+            };
+
+            let f_open = h_up[x] - open;
+            let f_extend = f_up[x] - ext;
+            let f = if f_extend > f_open {
+                flags |= F_EXT;
+                f_extend
+            } else {
+                f_open
+            };
+
+            let (mut h, mut choice) = (diag[x] + sub[(targets[x] & 3) as usize], H_DIAG);
+            if e_row > h {
+                h = e_row;
+                choice = H_E;
+            }
+            if f > h {
+                h = f;
+                choice = H_F;
+            }
+            h_out[x] = h;
+            f_out[x] = f;
+            tb_out[x] = flags | choice;
+            h_left = h;
+        }
+        cells += len as u64;
+        std::mem::swap(h_prev, h_cur);
+        std::mem::swap(f_prev, f_cur);
+    }
+
+    let (score, end_j) = match mode {
+        AlignMode::Global => (h_prev[(m as i64 - base(n)) as usize], m),
+        _ => {
+            let (kmin, kmax) = row_range(n);
+            let (mut bk, mut bs) = (kmin, NEG_INF);
+            for (k, &h) in h_prev.iter().enumerate().take(kmax + 1).skip(kmin) {
+                if h > bs {
+                    bs = h;
+                    bk = k;
+                }
+            }
+            (bs, (base(n) + bk as i64) as usize)
+        }
+    };
+    let (query_start, target_start) =
+        traceback(tb, width, lo_shift, qcodes, tcodes, end_j, rev_cigar);
+    // A CIGAR too long for inline runs reuses storage a caller recycled.
+    let mut cigar = if rev_cigar.runs().len() > Cigar::INLINE_RUNS {
+        spare_cigars.pop().unwrap_or_default()
+    } else {
+        Cigar::new()
+    };
+    cigar.clear();
+    for &(len, op) in rev_cigar.runs().iter().rev() {
+        cigar.push(op, len);
+    }
+    Alignment {
+        score,
+        cigar,
+        query_start,
+        query_end: n,
+        target_start,
+        target_end: end_j,
+        cells,
+    }
+}
+
+/// The column-indexed banded kernel that [`banded_align`] replaced, kept as
+/// its differential oracle: rows are indexed by target column `j` and every
+/// cell tests whether its up, diagonal and left neighbours lie inside the
+/// band. Same result as [`banded_align`], field for field; only slower.
+///
+/// # Panics
+///
+/// As [`banded_align`].
+pub fn banded_align_reference(
+    query: &DnaSeq,
+    target: &DnaSeq,
+    scoring: &Scoring,
+    band: usize,
+    mode: AlignMode,
+) -> Alignment {
+    check_args(query, target, band, mode);
     let n = query.len();
     let m = target.len();
     let open = scoring.gap_open + scoring.gap_ext;
     let ext = scoring.gap_ext;
 
     // Allowed shift (j - i) range: the natural corridor plus the band.
-    let lo_shift = (m as i64 - n as i64).min(0) - band as i64;
-    let hi_shift = (m as i64 - n as i64).max(0) + band as i64;
-    let width = (hi_shift - lo_shift + 1) as usize;
+    let (lo_shift, width) = corridor(n, m, band);
+    let hi_shift = lo_shift + width as i64 - 1;
 
     let jmin = |i: usize| -> usize { (i as i64 + lo_shift).max(0) as usize };
     let jmax = |i: usize| -> usize { ((i as i64 + hi_shift) as usize).min(m) };
 
+    let mut scratch = AlignScratch::new();
     let AlignScratch {
         tb,
         h_prev,
@@ -73,7 +251,8 @@ pub fn banded_align_with(
         f_col,
         qcodes,
         tcodes,
-    } = scratch;
+        ..
+    } = &mut scratch;
     tb.clear();
     tb.resize((n + 1) * width, H_STOP);
     let tb_idx = |i: usize, j: usize| -> usize {
@@ -188,15 +367,67 @@ pub fn banded_align_with(
             (bs, bj)
         }
     };
+    let mut rev = Cigar::new();
+    let (query_start, target_start) =
+        traceback(tb, width, lo_shift, qcodes, tcodes, end_j, &mut rev);
+    Alignment {
+        score,
+        cigar: rev.reversed(),
+        query_start,
+        query_end: n,
+        target_start,
+        target_end: end_j,
+        cells,
+    }
+}
 
-    // Traceback within the band.
+fn check_args(query: &DnaSeq, target: &DnaSeq, band: usize, mode: AlignMode) {
+    assert!(
+        !query.is_empty() && !target.is_empty(),
+        "cannot align empty sequences"
+    );
+    assert!(band > 0, "band must be positive");
+    assert!(
+        mode != AlignMode::Local,
+        "banded alignment supports Global and Fit modes"
+    );
+}
+
+/// The lowest allowed shift `j − i` (the natural corridor of an `n × m`
+/// problem widened by `band` on each side) and the number of shifts.
+fn corridor(n: usize, m: usize, band: usize) -> (i64, usize) {
+    let lo_shift = (m as i64 - n as i64).min(0) - band as i64;
+    let hi_shift = (m as i64 - n as i64).max(0) + band as i64;
+    (lo_shift, (hi_shift - lo_shift + 1) as usize)
+}
+
+/// Traces back from `(n, end_j)` through the band-offset traceback matrix
+/// `tb` (row `i`, column `j` at `i * width + j − (i + lo_shift)`), writes
+/// the path end to start into `rev` and returns where it starts as
+/// `(query_start, target_start)`.
+fn traceback(
+    tb: &[u8],
+    width: usize,
+    lo_shift: i64,
+    qcodes: &[u8],
+    tcodes: &[u8],
+    end_j: usize,
+    rev: &mut Cigar,
+) -> (usize, usize) {
+    rev.clear();
+    let n = qcodes.len();
+    let tb_idx = |i: usize, j: usize| -> usize {
+        let off = j as i64 - (i as i64 + lo_shift);
+        debug_assert!((0..width as i64).contains(&off), "traceback outside band");
+        i * width + off as usize
+    };
+
     #[derive(PartialEq)]
     enum State {
         H,
         E,
         F,
     }
-    let mut rev = Cigar::new();
     let (mut i, mut j) = (n, end_j);
     let mut state = State::H;
     loop {
@@ -247,15 +478,7 @@ pub fn banded_align_with(
         }
     }
 
-    Alignment {
-        score,
-        cigar: rev.reversed(),
-        query_start: i,
-        query_end: n,
-        target_start: j,
-        target_end: end_j,
-        cells,
-    }
+    (i, j)
 }
 
 #[cfg(test)]

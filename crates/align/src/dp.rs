@@ -48,24 +48,43 @@ impl Alignment {
 
 /// Reusable DP workspace for [`align`] and
 /// [`banded_align`](crate::banded_align): traceback matrix, rolling score
-/// rows, F column and unpacked code buffers. Buffers grow to the high-water
+/// rows, F rows and unpacked code buffers. Buffers grow to the high-water
 /// mark of the alignments they have seen and are re-filled (never
 /// reallocated) on subsequent calls, so a scratch owned per mapping session
 /// makes the DP fallback allocation-free in steady state.
+///
+/// CIGARs with more runs than fit inline need heap storage. A caller that
+/// discards such an alignment hands its CIGAR back with
+/// [`recycle`](AlignScratch::recycle), and the next banded alignment that
+/// needs heap storage for its CIGAR reuses it.
 #[derive(Default, Debug)]
 pub struct AlignScratch {
     pub(crate) tb: Vec<u8>,
     pub(crate) h_prev: Vec<i32>,
     pub(crate) h_cur: Vec<i32>,
     pub(crate) f_col: Vec<i32>,
+    pub(crate) f_cur: Vec<i32>,
     pub(crate) qcodes: Vec<u8>,
     pub(crate) tcodes: Vec<u8>,
+    /// Traceback path, end to start.
+    pub(crate) rev_cigar: Cigar,
+    /// Recycled CIGARs that own heap storage.
+    pub(crate) spare_cigars: Vec<Cigar>,
 }
 
 impl AlignScratch {
     /// Creates an empty workspace; buffers are sized lazily on first use.
     pub fn new() -> AlignScratch {
         AlignScratch::default()
+    }
+
+    /// Returns a discarded alignment's CIGAR for reuse. Only CIGARs that
+    /// outgrew their inline runs own heap storage worth keeping; others are
+    /// dropped.
+    pub fn recycle(&mut self, cigar: Cigar) {
+        if cigar.runs().len() > Cigar::INLINE_RUNS {
+            self.spare_cigars.push(cigar);
+        }
     }
 }
 
@@ -120,6 +139,7 @@ pub fn align_with(
         f_col,
         qcodes,
         tcodes,
+        ..
     } = scratch;
     tb.clear();
     tb.resize((n + 1) * (m + 1), 0u8);

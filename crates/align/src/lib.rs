@@ -36,6 +36,6 @@ mod dp;
 pub mod edits;
 mod scoring;
 
-pub use banded::{banded_align, banded_align_with};
+pub use banded::{banded_align, banded_align_reference, banded_align_with};
 pub use dp::{align, align_with, AlignMode, AlignScratch, Alignment};
 pub use scoring::Scoring;

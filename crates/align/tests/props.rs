@@ -1,8 +1,13 @@
 //! Property-based tests for the DP aligners.
 
-use gx_align::{align, banded_align, AlignMode, Scoring};
+use gx_align::{
+    align, banded_align, banded_align_reference, banded_align_with, AlignMode, AlignScratch,
+    Scoring,
+};
 use gx_genome::{CigarOp, DnaSeq};
 use proptest::prelude::*;
+use proptest::TestCaseError;
+use std::cell::RefCell;
 
 fn arb_dna(min: usize, max: usize) -> impl Strategy<Value = DnaSeq> {
     prop::collection::vec(0u8..4, min..=max).prop_map(|codes| DnaSeq::from_codes(&codes))
@@ -91,6 +96,104 @@ proptest! {
         let fwd = align(&q, &t, &s, AlignMode::Fit);
         let rev = align(&q.revcomp(), &t.revcomp(), &s, AlignMode::Fit);
         prop_assert_eq!(fwd.score, rev.score);
+    }
+}
+
+/// Differential tests: the band-coordinate kernel behind `banded_align_with`
+/// against the column-indexed oracle `banded_align_reference`.
+mod banded_kernel {
+    use super::*;
+
+    thread_local! {
+        /// One workspace reused across every case, as a mapping session
+        /// reuses its own across pairs.
+        static SCRATCH: RefCell<AlignScratch> = RefCell::new(AlignScratch::new());
+    }
+
+    /// `n` bases read cyclically from `target` at `start` (so `n` may exceed
+    /// the target's length), then edited: `(kind, pos, base)` substitutes,
+    /// inserts 1–3 bases or deletes 1–3 bases, so optimal paths take in-band
+    /// gaps rather than crossing random noise.
+    fn derive_query(target: &[u8], start: usize, n: usize, edits: &[(u8, usize, u8)]) -> DnaSeq {
+        let mut q: Vec<u8> = (0..n).map(|x| target[(start + x) % target.len()]).collect();
+        for &(kind, pos, base) in edits {
+            let run = 1 + base as usize % 3;
+            match kind {
+                0 => {
+                    let p = pos % q.len();
+                    q[p] = (q[p] + 1 + base % 3) % 4;
+                }
+                1 => {
+                    let p = pos % (q.len() + 1);
+                    q.splice(p..p, (0..run).map(|r| (base + r as u8) % 4));
+                }
+                _ if q.len() > 1 => {
+                    let p = pos % q.len();
+                    q.drain(p..p + run.min(q.len() - p).min(q.len() - 1));
+                }
+                _ => {}
+            }
+        }
+        DnaSeq::from_codes(&q)
+    }
+
+    fn fast_matches_reference(
+        q: &DnaSeq,
+        t: &DnaSeq,
+        band: usize,
+        mode: AlignMode,
+    ) -> Result<(), TestCaseError> {
+        let s = Scoring::short_read();
+        let slow = banded_align_reference(q, t, &s, band, mode);
+        let fast = SCRATCH
+            .with(|scratch| banded_align_with(q, t, &s, band, mode, &mut scratch.borrow_mut()));
+        let shape = format!("{}x{} band {band} {mode:?}", q.len(), t.len());
+        prop_assert_eq!(fast.score, slow.score, "{}", shape);
+        prop_assert_eq!(fast.cigar.to_string(), slow.cigar.to_string(), "{}", shape);
+        prop_assert_eq!(fast.query_start, slow.query_start, "{}", shape);
+        prop_assert_eq!(fast.query_end, slow.query_end, "{}", shape);
+        prop_assert_eq!(fast.target_start, slow.target_start, "{}", shape);
+        prop_assert_eq!(fast.target_end, slow.target_end, "{}", shape);
+        prop_assert_eq!(fast.cells, slow.cells, "{}", shape);
+        // Hand long CIGARs back so later cases also build theirs in
+        // recycled storage.
+        SCRATCH.with(|scratch| scratch.borrow_mut().recycle(fast.cigar));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn fast_kernel_matches_reference(
+            target in prop::collection::vec(0u8..4, 1..=220),
+            (n, start, noise) in (1usize..=160, 0usize..220, prop::collection::vec(0u8..4, 160)),
+            edits in prop::collection::vec((0u8..3, 0usize..1_000, 0u8..4), 0..=6),
+            (band, shape, global) in (1usize..=40, 0u8..8, 0u8..2),
+        ) {
+            // Shape 0: an unrelated query; 1: a band wider than both
+            // sequences; otherwise a query edited from the target.
+            let q = match shape {
+                0 => DnaSeq::from_codes(&noise[..n]),
+                _ => derive_query(&target, start, n, &edits),
+            };
+            let t = DnaSeq::from_codes(&target);
+            let band = if shape == 1 { band + q.len().max(t.len()) } else { band };
+            let mode = if global == 1 { AlignMode::Global } else { AlignMode::Fit };
+            fast_matches_reference(&q, &t, band, mode)?;
+        }
+
+        #[test]
+        fn fast_kernel_matches_reference_on_mapper_shape(
+            window in prop::collection::vec(0u8..4, 198),
+            offset in 0usize..=48,
+            edits in prop::collection::vec((0u8..3, 0usize..1_000, 0u8..4), 0..=4),
+        ) {
+            // The DP fallback's own shape: a 150 bp read against its 198 bp
+            // window (24-base margin each side), band 16, fit mode.
+            let q = derive_query(&window, offset, 150, &edits);
+            fast_matches_reference(&q, &DnaSeq::from_codes(&window), 16, AlignMode::Fit)?;
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gx_backend::{MapBackend, MapSession, SoftwareBackend};
-use gx_core::{GenPairConfig, GenPairMapper, ReadPair};
+use gx_core::{FallbackStage, GenPairConfig, GenPairMapper, ReadPair};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_genome::DnaSeq;
 
@@ -55,18 +55,31 @@ fn allocations(f: impl FnOnce()) -> u64 {
 }
 
 /// A workload that exercises every stage the scratch arena backs: clean
-/// light-path pairs, mismatched reads (deeper light masks), and
-/// foreign-sequence pairs that fall through to the DP/fallback stages.
+/// light-path pairs, mismatched reads (deeper light masks), and mixed-edit
+/// reads (a deletion plus a mismatch) that no single-edit-type light
+/// alignment fits, so they take the banded-DP fallback at their candidates
+/// (window buffers, DP rows and traceback matrix).
 fn build_pairs(seq: &DnaSeq, n: usize) -> Vec<ReadPair> {
     (0..n)
         .map(|i| {
             let s = 1_000 + (i % 40) * 1_800;
-            let r1 = seq.subseq(s..s + 150);
+            let mut r1 = seq.subseq(s..s + 150);
             let mut r2 = seq.subseq(s + 250..s + 400).revcomp();
-            if i % 5 == 2 {
-                // Flip a base so the light aligner sees mismatches.
-                let flipped = r2.get(70).complement();
-                r2.set(70, flipped);
+            match i % 5 {
+                2 => {
+                    // Flip a base so the light aligner sees mismatches.
+                    let flipped = r2.get(70).complement();
+                    r2.set(70, flipped);
+                }
+                4 => {
+                    // A 3 bp deletion at read position 40 plus a mismatch at
+                    // 10; the last seed stays intact so candidates exist.
+                    r1 = seq.subseq(s..s + 40);
+                    r1.extend_from_seq(&seq.subseq(s + 43..s + 153));
+                    let flipped = r1.get(10).complement();
+                    r1.set(10, flipped);
+                }
+                _ => {}
             }
             ReadPair::new(format!("p{i}"), r1, r2)
         })
@@ -87,6 +100,15 @@ fn warm_session_maps_pairs_without_per_pair_allocation() {
     // steady-state high-water mark.
     let warm = session.map_batch(&pairs);
     assert!(warm.results.iter().filter(|r| r.is_mapped()).count() > 48);
+    let dp_pairs = warm
+        .results
+        .iter()
+        .filter(|r| r.fallback == Some(FallbackStage::LightAlign) && r.work.dp_cells > 0)
+        .count();
+    assert!(
+        dp_pairs >= 8,
+        "only {dp_pairs} pairs reached the DP fallback; the budget must cover it"
+    );
 
     // Steady state: the only allowed allocations are the per-batch results
     // Vec (and a bounded sliver of collection overhead) — nothing that

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gx_align::chain::{chain_anchors, Anchor, ChainParams};
-use gx_align::{align, banded_align, AlignMode, Scoring};
+use gx_align::{align, banded_align, banded_align_reference, AlignMode, Scoring};
 use gx_core::light::{light_align, LightConfig};
 use gx_genome::random::RandomGenomeBuilder;
 use gx_seedmap::xxh32;
@@ -25,6 +25,18 @@ fn bench_aligners(c: &mut Criterion) {
     });
     g.bench_function("banded_dp_fit_b16", |b| {
         b.iter(|| black_box(banded_align(&read, &window, &scoring, 16, AlignMode::Fit)).score)
+    });
+    g.bench_function("banded_dp_fit_b16_reference", |b| {
+        b.iter(|| {
+            black_box(banded_align_reference(
+                &read,
+                &window,
+                &scoring,
+                16,
+                AlignMode::Fit,
+            ))
+            .score
+        })
     });
     g.bench_function("full_dp_fit", |b| {
         b.iter(|| black_box(align(&read, &window, &scoring, AlignMode::Fit)).score)

@@ -53,6 +53,7 @@ pub use light::{
 pub use longread::{LongReadMapping, LongReadWork};
 pub use mapper::{
     pair_mapping_to_sam, FallbackStage, GenPairMapper, PairMapResult, PairMapping, PairWork,
+    DP_BAND, DP_WINDOW_MARGIN,
 };
 pub use readpair::ReadPair;
 pub use scratch::MapScratch;

@@ -11,6 +11,15 @@ use gx_align::{banded_align_with, AlignMode, AlignScratch};
 use gx_genome::{flags, Cigar, DnaSeq, GlobalPos, ReferenceGenome, SamRecord};
 use gx_seedmap::{SeedHasher, SeedMap, Xxh32Builder};
 
+/// Band half-width of the DP fallback aligner: the banded DP allows
+/// `DP_BAND` diagonals of drift on each side of the read's corridor through
+/// its window.
+pub const DP_BAND: usize = 16;
+
+/// Reference bases the DP fallback adds on each side of a candidate, so a
+/// 150 bp read is aligned in a `150 + 2 × 24 = 198` bp window.
+pub const DP_WINDOW_MARGIN: usize = 24;
+
 /// Where a pair left the GenPair fast path (paper Fig. 10).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FallbackStage {
@@ -349,6 +358,7 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
             };
             let Some((pos2, cigar2, score2, cells2)) = self.dp_at(seq2, cand.start2, window, align)
             else {
+                align.recycle(cigar1);
                 continue;
             };
             work.dp_cells += cells1 + cells2;
@@ -365,8 +375,16 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
                 score2,
                 mapq: 40,
             };
-            if best_dp.as_ref().is_none_or(|(_, bs)| score > *bs) {
-                best_dp = Some((mapping, score));
+            // Losing alignments hand their CIGARs back, so the long CIGARs
+            // of poor candidates reuse heap storage instead of allocating.
+            let loser = if best_dp.as_ref().is_none_or(|(_, bs)| score > *bs) {
+                best_dp.replace((mapping, score)).map(|(m, _)| m)
+            } else {
+                Some(mapping)
+            };
+            if let Some(loser) = loser {
+                align.recycle(loser.cigar1);
+                align.recycle(loser.cigar2);
             }
         }
         PairMapResult {
@@ -414,18 +432,24 @@ impl<'g, H: SeedHasher> GenPairMapper<'g, H> {
         window: &mut DnaSeq,
         align: &mut AlignScratch,
     ) -> Option<(u64, Cigar, i32, u64)> {
-        let margin = 24i64;
         let locus = self.genome.locate(start);
         let win_start = self.genome.clamped_window_into(
             locus.chrom,
-            locus.pos as i64 - margin,
-            seq.len() + 2 * margin as usize,
+            locus.pos as i64 - DP_WINDOW_MARGIN as i64,
+            seq.len() + 2 * DP_WINDOW_MARGIN,
             window,
         );
         if window.len() < seq.len() / 2 {
             return None;
         }
-        let a = banded_align_with(seq, window, &self.config.scoring, 16, AlignMode::Fit, align);
+        let a = banded_align_with(
+            seq,
+            window,
+            &self.config.scoring,
+            DP_BAND,
+            AlignMode::Fit,
+            align,
+        );
         Some((win_start + a.target_start as u64, a.cigar, a.score, a.cells))
     }
 

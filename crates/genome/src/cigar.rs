@@ -88,7 +88,7 @@ pub struct Cigar {
 impl Cigar {
     /// Runs held without a heap allocation. A read with up to three
     /// mismatches (`=X=X=X=`) or one indel still fits inline.
-    const INLINE_RUNS: usize = 8;
+    pub const INLINE_RUNS: usize = 8;
 
     /// Creates an empty CIGAR.
     pub fn new() -> Cigar {
@@ -229,6 +229,13 @@ impl Cigar {
             out.push(op, n);
         }
         out
+    }
+
+    /// Removes every run but keeps any heap capacity, so a recycled CIGAR
+    /// can be rebuilt without touching the allocator.
+    pub fn clear(&mut self) {
+        self.inline_len = 0;
+        self.spill.clear();
     }
 
     /// Reverses the run order (for alignments built back-to-front).
@@ -382,5 +389,32 @@ mod tests {
             s.finish()
         };
         assert_eq!(h(&reparsed), h(&big));
+    }
+
+    #[test]
+    fn cleared_spilled_cigar_rebuilds_both_storage_kinds() {
+        // A cleared cigar keeps its heap storage but none of its runs: it
+        // rebuilds a short cigar inline and a long one in the old storage,
+        // equal to fresh builds either way.
+        let long = |c: &mut Cigar| {
+            for i in 0..20 {
+                let op = if i % 2 == 0 {
+                    CigarOp::Equal
+                } else {
+                    CigarOp::Ins
+                };
+                c.push(op, i + 1);
+            }
+        };
+        let mut fresh = Cigar::new();
+        long(&mut fresh);
+        let mut reused = fresh.clone();
+        reused.clear();
+        assert!(reused.is_empty());
+        reused.push(CigarOp::Equal, 150);
+        assert_eq!(reused, Cigar::parse("150=").unwrap());
+        reused.clear();
+        long(&mut reused);
+        assert_eq!(reused, fresh);
     }
 }
